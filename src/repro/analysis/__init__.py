@@ -20,6 +20,7 @@ guarantees:
 ``RPL502``  process-pool worker mutating module-level state
 ``RPL601``  mutable default argument
 ``RPL602``  mutation of an undeclared SimStats counter
+``RPL603``  private function or method its own module never names
 ==========  ==========================================================
 
 Run it as ``repro lint [paths]``; findings are suppressed inline with

@@ -1,4 +1,4 @@
-"""Hygiene rules (RPL601/RPL602).
+"""Hygiene rules (RPL601/RPL602/RPL603).
 
 RPL601 (mutable default arguments) is the classic Python trap with a
 simulator-specific sting: a default ``[]`` on a config or harness helper
@@ -11,12 +11,17 @@ speed, so ``stats.l1_hitz += 1`` (a typo) raises ``AttributeError`` only
 with luck — an *assignment* typo creates a brand-new attribute, the real
 counter stays 0, and the figure built from it is quietly wrong.  Every
 ``<...>.stats.<name>`` mutation must name a declared SimStats field.
+
+RPL603 (unreferenced private definitions) keeps dead code from
+regrowing: a private (``_name``) module-level function or method that
+its own module never names is reachable only from another module —
+which the leading underscore says should not happen — or not at all.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 from repro.analysis.registry import ModuleContext, Rule, register
 from repro.analysis.rules._util import (
@@ -129,3 +134,50 @@ class UnregisteredStatRule(Rule):
         if terminal_name(receiver) == "stats":
             return target.attr
         return None
+
+
+def _is_private(name: str) -> bool:
+    return (
+        name.startswith("_")
+        and name.strip("_") != ""
+        and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+@register
+class UnreferencedPrivateRule(Rule):
+    rule_id = "RPL603"
+    name = "unreferenced-private-definition"
+    rationale = (
+        "a private function or method that its own module never names is "
+        "dead code (or is reached from another module despite the "
+        "underscore); delete it, or suppress with the module that uses it"
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterator:
+        used: Set[str] = set()
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)  # getattr(obj, "_name") and friends
+        for definition in self._definitions(ctx.tree.body):
+            if definition.name not in used:
+                yield self.finding(
+                    ctx,
+                    definition,
+                    f"private '{definition.name}' is never referenced in its "
+                    f"module; delete it if it is dead",
+                )
+
+    @classmethod
+    def _definitions(cls, body: List[ast.stmt]) -> Iterator[ast.AST]:
+        """Private functions of a module or class body, classes nested."""
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if _is_private(node.name):
+                    yield node
+            elif isinstance(node, ast.ClassDef):
+                yield from cls._definitions(node.body)

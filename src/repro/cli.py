@@ -472,6 +472,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "warning: persistent disk errors — results for this run were "
             "kept in memory, not the cache directory"
         )
+    if store.get("ledger_errors"):
+        print(
+            "note: the progress ledger could not be written — the rest "
+            "of this run went without checkpoints"
+        )
     if args.csv:
         from repro.harness.export import sweep_to_csv
 

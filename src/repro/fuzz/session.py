@@ -1,17 +1,22 @@
-"""The fuzzing campaign runner: jobs, worker, and parallel session.
+"""The fuzz campaign: the job kind behind the differential safety check.
 
 One :class:`FuzzJob` is one (seed, profile) pair run through the full
-differential matrix.  Jobs fan out over the shared
-:class:`~repro.harness.jobs.JobEngine`, so fuzzing inherits the sweep
-runner's fault tolerance for free: per-job timeouts with stuck-worker
-kill, bounded retries of transients, crash isolation, and incremental
-resolution (an interrupted campaign keeps every finished verdict).
+differential matrix; :class:`FuzzSession` runs a batch of them over the
+shared :class:`~repro.harness.campaign.Campaign` (engine, store, ledger,
+failure manifest).  What is specific to fuzzing lives here:
 
-Divergences are *successful* job executions (the worker found what it
-was sent to find) — they come back as data, get minimized in the worker,
-and the parent writes one self-contained repro file per finding plus a
-``failure_manifest.json`` whose entries carry the full job spec and a
-single replay command.
+* **Verdicts, not results** — a divergence is a *successful* execution
+  (the worker found what it was sent to find): it comes back as data,
+  is minimized in the worker, and the parent writes one self-contained
+  repro file per finding.  Only infrastructure problems are failures.
+* **Store policy** — verdicts, clean and findings alike, are stored
+  under the repro dir but read back only under ``resume``; failures of
+  an earlier run re-run rather than replay (they are infrastructure
+  problems worth a fresh attempt).
+* **Time budget** — jobs go to the engine in batches, and a campaign
+  stops submitting once its budget is spent.
+* **The manifest** lists findings *and* failures, each with its full
+  job spec and one replay command.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig, config_from_dict, config_to_dict
-from repro.common.errors import ReproError
-from repro.common.io import atomic_write_json
 from repro.fuzz.corpus import ReproFile
 from repro.fuzz.differential import (
     KIND_CLEAN,
@@ -36,14 +39,9 @@ from repro.fuzz.differential import (
 from repro.fuzz.generator import generate_program
 from repro.fuzz.profiles import FuzzProfile
 from repro.fuzz.shrink import minimize
-from repro.harness.jobs import JobEngine, failure_payload
-from repro.harness.parallel import (
-    CACHE_FORMAT_VERSION,
-    FAILURE_MANIFEST_NAME,
-    LEDGER_NAME,
-    FailureRecord,
-)
-from repro.harness.store import ProgressLedger, ResultStore, campaign_id
+from repro.harness.campaign import Campaign, FailureRecord, replay_command
+from repro.harness.jobs import run_guarded
+from repro.harness.parallel import SweepJob, execute_job
 
 #: Default schemes a campaign crosses — the unsafe baseline plus every
 #: secure scheme, with and without address prediction for DoM.
@@ -117,13 +115,6 @@ class FuzzJob:
         )
 
 
-def _fuzz_key(job: FuzzJob) -> Dict[str, Any]:
-    """The verdict store's key for a job: its full replayable spec, so
-    any change to seed, profile knobs, schemes, matrix, config, or
-    mutation misses by construction."""
-    return job.spec()
-
-
 def _fuzz_entry_slug(key: Dict[str, Any]) -> str:
     """Human-readable prefix for a fuzz verdict's file name."""
     profile = key.get("profile") or {}
@@ -155,82 +146,69 @@ def _shrink_predicate(job: FuzzJob, config: SystemConfig, kind: str):
     return predicate
 
 
-def execute_fuzz_job(job: FuzzJob) -> Dict[str, Any]:
-    """Worker entry point: generate, run the matrix, minimize findings.
+def _verdict(job: FuzzJob) -> Dict[str, Any]:
+    """Generate, run the matrix, and minimize a finding."""
+    profile = FuzzProfile.from_dict(job.profile)
+    config = config_from_dict(job.config)
+    program = generate_program(job.seed, profile)
+    report = run_matrix(
+        program,
+        job.schemes,
+        config=config,
+        matrix=job.matrix,
+        mutation=job.mutation,
+    )
+    result: Dict[str, Any] = {
+        "kind": report.kind,
+        "executions": len(report.executions),
+        "divergences": list(report.divergences),
+    }
+    if not report.clean:
+        minimized = program
+        if job.minimize:
+            minimized = minimize(
+                program, _shrink_predicate(job, config, report.kind)
+            )
+            # Report the divergences of the *minimized* program — that
+            # is what lands in the repro file and what a triager reads
+            # first.
+            report = run_matrix(
+                minimized,
+                job.schemes,
+                config=config,
+                matrix=job.matrix,
+                mutation=job.mutation,
+            )
+        repro = ReproFile.from_finding(
+            seed=job.seed,
+            profile=job.profile,
+            schemes=job.schemes,
+            matrix=job.matrix,
+            config=config,
+            report=report,
+            minimized=minimized,
+            original_length=len(program),
+            mutation=job.mutation,
+        )
+        result["repro"] = repro.to_dict()
+        result["divergences"] = list(report.divergences)
+    return result
 
-    Must stay module-level (pickled by name into the pool) and never
-    raise.  A divergence is a *successful* execution — the payload is
-    ``ok`` with a non-clean verdict and a ready-to-save repro dict; only
+
+def execute_fuzz_job(job: FuzzJob) -> Dict[str, Any]:
+    """Worker entry point: one job's verdict as plain data.
+
+    Must stay module-level (pickled by name into the pool).  A
+    divergence is a *successful* execution — the payload is ``ok`` with
+    a non-clean verdict and a ready-to-save repro dict; only
     infrastructure problems (generator crash, unpicklable state...)
     produce failure payloads.
     """
-    try:
-        profile = FuzzProfile.from_dict(job.profile)
-        config = config_from_dict(job.config)
-        program = generate_program(job.seed, profile)
-        report = run_matrix(
-            program,
-            job.schemes,
-            config=config,
-            matrix=job.matrix,
-            mutation=job.mutation,
-        )
-        result: Dict[str, Any] = {
-            "kind": report.kind,
-            "executions": len(report.executions),
-            "divergences": list(report.divergences),
-        }
-        if not report.clean:
-            minimized = program
-            if job.minimize:
-                minimized = minimize(
-                    program, _shrink_predicate(job, config, report.kind)
-                )
-                # Report the divergences of the *minimized* program —
-                # that is what lands in the repro file and what a triager
-                # reads first.
-                report = run_matrix(
-                    minimized,
-                    job.schemes,
-                    config=config,
-                    matrix=job.matrix,
-                    mutation=job.mutation,
-                )
-            repro = ReproFile.from_finding(
-                seed=job.seed,
-                profile=job.profile,
-                schemes=job.schemes,
-                matrix=job.matrix,
-                config=config,
-                report=report,
-                minimized=minimized,
-                original_length=len(program),
-                mutation=job.mutation,
-            )
-            result["repro"] = repro.to_dict()
-            result["divergences"] = list(report.divergences)
-        return {"ok": True, "result": result}
-    except ReproError as error:
-        return failure_payload(
-            type(error).__name__,
-            str(error),
-            transient=False,
-            fields=fuzz_job_fields(job),
-        )
-    except KeyboardInterrupt:
-        return failure_payload(
-            "KeyboardInterrupt",
-            "interrupted mid-run",
-            transient=True,
-            fields=fuzz_job_fields(job),
-        )
-    except Exception as error:  # crash isolation: bugs travel back as data
-        return failure_payload(
-            type(error).__name__,
-            str(error) or repr(error),
-            transient=True,
-            fields=fuzz_job_fields(job),
-        )
+    return run_guarded(_verdict, job, fuzz_job_fields)
+
+
+def _decode_verdict(entry: Any) -> Optional[Dict[str, Any]]:
+    return entry if isinstance(entry, dict) and "kind" in entry else None
 
 
 @dataclass
@@ -257,6 +235,8 @@ class FuzzSummary:
     failures: List[FailureRecord] = field(default_factory=list)
     skipped_budget: int = 0
     store_hits: int = 0
+    #: Ledger writes that failed; the campaign went on without checkpoints.
+    ledger_errors: int = 0
     elapsed: float = 0.0
     manifest_path: Optional[Path] = None
 
@@ -280,6 +260,11 @@ class FuzzSummary:
                 else ""
             )
         ]
+        if self.ledger_errors:
+            lines.append(
+                "  note: the progress ledger could not be written; the "
+                "campaign finished without checkpoints"
+            )
         for finding in self.findings:
             lines.append(f"  FINDING {finding.summary()}")
             lines.extend(f"    {entry}" for entry in finding.divergences[:6])
@@ -297,11 +282,12 @@ class FuzzSummary:
 
 
 class FuzzSession:
-    """Fan a fuzzing campaign out over the fault-tolerant job engine.
+    """Run a fuzzing campaign over the shared campaign layer.
 
     Parameters mirror :class:`~repro.harness.parallel.ParallelSession`
-    where they overlap; ``repro_dir`` is where repro files and the
-    failure manifest land (``None`` keeps findings in memory only).
+    where they overlap; ``repro_dir`` is where repro files, the verdict
+    store, the ledger and the failure manifest land (``None`` keeps
+    findings in memory only).
     """
 
     def __init__(
@@ -323,25 +309,30 @@ class FuzzSession:
         self.config = fuzz_config(config)
         self.schemes = tuple(schemes)
         self.matrix = matrix
-        self.jobs = jobs
-        self.job_timeout = job_timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.mp_context = mp_context
         self.repro_dir = Path(repro_dir) if repro_dir is not None else None
         self.mutation = mutation
         self.minimize_findings = minimize_findings
-        self.resume = resume
-        self.chaos = chaos
-        # Verdicts persist in a content-addressed store under the repro
-        # dir, so an interrupted campaign resumes instead of refuzzing.
-        self.store: Optional[ResultStore] = None
-        if self.repro_dir is not None:
-            self.store = ResultStore(
-                self.repro_dir / "store",
-                fs=chaos.fs if chaos is not None else None,
-                namer=_fuzz_entry_slug,
-            )
+        self.campaign = Campaign(
+            execute_fuzz_job,
+            fuzz_job_fields,
+            directory=self.repro_dir,
+            store_dir=(
+                self.repro_dir / "store" if self.repro_dir is not None else None
+            ),
+            namer=_fuzz_entry_slug,
+            encode=lambda payload: payload["result"],
+            decode=_decode_verdict,
+            read_store=resume,
+            replay_failures=False,
+            resume=resume,
+            chaos=chaos,
+            jobs=jobs,
+            job_timeout=job_timeout,
+            retries=retries,
+            retry_backoff=retry_backoff,
+            mp_context=mp_context,
+        )
+        self.store = self.campaign.store
 
     # ------------------------------------------------------------------
     # Campaign
@@ -394,102 +385,58 @@ class FuzzSession:
         budget there is nothing to check between batches and the whole
         campaign runs as one.
         """
-        engine = JobEngine(
-            execute_fuzz_job,
-            jobs=self.jobs,
-            job_timeout=self.job_timeout,
-            retries=self.retries,
-            retry_backoff=self.retry_backoff,
-            mp_context=self.mp_context,
-            describe=fuzz_job_fields,
-            chaos=self.chaos,
-        )
+        campaign = self.campaign
         summary = FuzzSummary()
         started = time.monotonic()
+        ledger_errors = campaign.ledger_errors
         if time_budget is None:
             batch_size = max(len(jobs), 1)
         else:
-            batch_size = max(1, engine.jobs) * 8
-        # With --resume, verdicts already in the store replay without
-        # re-running the matrix; only genuinely unresolved jobs (and
-        # previous *failures*, which are infrastructure problems worth a
-        # fresh attempt) reach the pool.
-        pending: List[Tuple[FuzzJob, FuzzJob]] = []
-        for job in jobs:
-            if self.resume and self.store is not None:
-                cached = self.store.get(_fuzz_key(job))
-                if isinstance(cached, dict) and "kind" in cached:
-                    summary.store_hits += 1
-                    summary.programs += 1
-                    if cached["kind"] == KIND_CLEAN:
-                        summary.clean += 1
-                    else:
-                        summary.findings.append(
-                            self._record_finding(job.label, cached)
-                        )
-                    continue
-            pending.append((job, job))
-        ledger = self._open_ledger(jobs)
+            batch_size = campaign.engine.jobs * 8
+        # A job's store and ledger key is its full replayable spec, so any
+        # change to seed, profile knobs, schemes, matrix, config, or
+        # mutation misses by construction.
+        keyed = [(job.spec(), job) for job in jobs]
         try:
-            while pending:
-                if (
-                    time_budget is not None
-                    and time.monotonic() - started > time_budget
-                ):
-                    summary.skipped_budget = len(pending)
-                    break
-                batch, pending = pending[:batch_size], pending[batch_size:]
-                engine.run(batch, self._make_store(summary, ledger))
+            with campaign.journal([key for key, _job in keyed]):
+                hits, _replayed, pending = campaign.partition(keyed)
+                for _key, job, verdict in hits:
+                    summary.store_hits += 1
+                    self._tally(summary, job.label, verdict)
+
+                def resolved(key: Dict[str, Any], payload: Dict[str, Any]) -> None:
+                    label = FuzzJob.from_spec(key).label
+                    if payload["ok"]:
+                        self._tally(summary, label, payload["result"])
+                    else:
+                        summary.programs += 1
+                        summary.failures.append(
+                            FailureRecord.from_payload([label], payload)
+                        )
+
+                while pending:
+                    if (
+                        time_budget is not None
+                        and time.monotonic() - started > time_budget
+                    ):
+                        summary.skipped_budget = len(pending)
+                        break
+                    batch, pending = pending[:batch_size], pending[batch_size:]
+                    campaign.execute(batch, resolved)
         finally:
-            if ledger is not None:
-                ledger.close()
+            summary.ledger_errors = campaign.ledger_errors - ledger_errors
             summary.elapsed = time.monotonic() - started
             summary.manifest_path = self.write_manifest(summary)
         return summary
 
-    def _open_ledger(
-        self, jobs: Sequence[FuzzJob]
-    ) -> Optional[ProgressLedger]:
-        """The campaign's progress journal (None without a repro dir)."""
-        if self.repro_dir is None:
-            return None
-        campaign = campaign_id([_fuzz_key(job) for job in jobs])
-        try:
-            return ProgressLedger(
-                self.repro_dir / LEDGER_NAME, campaign, resume=self.resume
-            )
-        except OSError:
-            return None
-
-    def _make_store(
-        self,
-        summary: FuzzSummary,
-        ledger: Optional[ProgressLedger] = None,
-    ):
-        def store(job: FuzzJob, payload: Dict[str, Any]) -> None:
-            summary.programs += 1
-            if ledger is not None:
-                ledger.record(
-                    _fuzz_key(job),
-                    payload["ok"],
-                    None if payload["ok"] else payload,
-                )
-            if not payload["ok"]:
-                summary.failures.append(
-                    FailureRecord.from_payload([job.label], payload)
-                )
-                return
-            result = payload["result"]
-            if self.store is not None:
-                # Verdicts — clean and findings alike — are worth keeping:
-                # a resumed campaign replays them instead of refuzzing.
-                self.store.put(_fuzz_key(job), result)
-            if result["kind"] == KIND_CLEAN:
-                summary.clean += 1
-                return
-            summary.findings.append(self._record_finding(job.label, result))
-
-        return store
+    def _tally(
+        self, summary: FuzzSummary, label: str, verdict: Dict[str, Any]
+    ) -> None:
+        summary.programs += 1
+        if verdict["kind"] == KIND_CLEAN:
+            summary.clean += 1
+        else:
+            summary.findings.append(self._record_finding(label, verdict))
 
     def _record_finding(self, label: str, result: Dict[str, Any]) -> Finding:
         repro_payload = result.get("repro")
@@ -533,45 +480,31 @@ class FuzzSession:
     # ------------------------------------------------------------------
     @property
     def failure_manifest_path(self) -> Optional[Path]:
-        if self.repro_dir is None:
-            return None
-        return self.repro_dir / FAILURE_MANIFEST_NAME
+        return self.campaign.manifest_path
 
     def write_manifest(self, summary: FuzzSummary) -> Optional[Path]:
         """Record findings *and* infrastructure failures, each entry with
         its full job spec and one replay command."""
-        path = self.failure_manifest_path
-        if path is None:
-            return None
-        entries: List[Dict[str, Any]] = []
-        for finding in summary.findings:
-            replay_target = finding.repro_path or path
-            entries.append(
-                {
-                    "benchmark": finding.job.label,
-                    "scheme": ",".join(finding.job.schemes),
-                    "error_type": finding.kind,
-                    "message": (
-                        finding.divergences[0]
-                        if finding.divergences
-                        else finding.kind
-                    ),
-                    "attempts": 1,
-                    "transient": False,
-                    "dump_path": (
-                        str(finding.repro_path) if finding.repro_path else None
-                    ),
-                    "key": [finding.job.label],
-                    "spec": finding.job.spec(),
-                    "replay": f"python -m repro fuzz --replay {replay_target}",
-                }
+        findings = [
+            FailureRecord(
+                benchmark=finding.job.label,
+                scheme=",".join(finding.job.schemes),
+                error_type=finding.kind,
+                message=(
+                    finding.divergences[0] if finding.divergences else finding.kind
+                ),
+                dump_path=str(finding.repro_path) if finding.repro_path else None,
+                key=[finding.job.label],
+                spec=finding.job.spec(),
+                replay=(
+                    replay_command(finding.repro_path)
+                    if finding.repro_path
+                    else None
+                ),
             )
-        for failure in summary.failures:
-            record = asdict(failure)
-            record["replay"] = f"python -m repro fuzz --replay {path}"
-            entries.append(record)
-        payload = {"version": CACHE_FORMAT_VERSION, "failures": entries}
-        return atomic_write_json(path, payload, indent=2)
+            for finding in summary.findings
+        ]
+        return self.campaign.write_manifest(findings + summary.failures)
 
 
 def replay_manifest(path: os.PathLike) -> List[Tuple[str, MatrixReport]]:
@@ -581,8 +514,6 @@ def replay_manifest(path: os.PathLike) -> List[Tuple[str, MatrixReport]]:
     "sweep"``) are re-run through the sweep worker and reported by their
     outcome; entries with no spec are skipped with a note.
     """
-    from repro.harness.parallel import SweepJob, execute_job
-
     payload = json.loads(Path(path).read_text())
     results: List[Tuple[str, MatrixReport]] = []
     for entry in payload.get("failures", []):

@@ -182,14 +182,11 @@ def chaos_worker(
 def chaos_key_digest(key: Any) -> str:
     """Digest of an engine key, whatever its shape.
 
-    Sweep engines key jobs by JSON-able dicts; the fuzz engine keys them
-    by the :class:`~repro.fuzz.session.FuzzJob` itself, whose ``spec()``
-    is the canonical JSON form.  ``repr`` is the last-ditch fallback so
-    chaos never crashes a campaign over an exotic key — determinism of
-    the *digest* is all the fault schedule needs.
+    Campaigns key jobs by JSON-able data (a sweep's run key, a fuzz
+    job's spec).  ``repr`` is the last-ditch fallback so chaos never
+    crashes a campaign over an exotic key — determinism of the *digest*
+    is all the fault schedule needs.
     """
-    if hasattr(key, "spec"):
-        key = key.spec()
     try:
         return key_digest(key)
     except TypeError:

@@ -1,8 +1,8 @@
 """A generic fault-tolerant process-pool job engine.
 
-Extracted from :class:`repro.harness.parallel.ParallelSession` so any
-batch runner — the sweep session, the differential fuzzer — inherits the
-same hard-won failure semantics instead of re-implementing them:
+Every campaign (:class:`~repro.harness.campaign.Campaign`) — the sweep
+session, the differential fuzzer — runs on this engine and so inherits
+the same hard-won failure semantics instead of re-implementing them:
 
 * **Waves with bounded retry** — every job resolves exactly once:
   success, deterministic failure, or a transient failure that exhausted
@@ -27,6 +27,8 @@ failures — ``transient`` (bool), ``error_type``, and ``message``.  The
 ``describe`` hook supplies per-job label fields (benchmark/scheme,
 seed/profile, the full job spec...) merged into engine-generated
 timeout/crash payloads so every failure is attributable and replayable.
+:func:`run_guarded` is the one exception ladder every worker runs its
+body under.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+
+from repro.common.errors import DeadlockError, InvariantViolationError, ReproError
 
 Payload = Dict[str, Any]
 """What a worker returns: ``{"ok": True, ...}`` or a failure payload."""
@@ -84,6 +88,59 @@ def failure_payload(
     if fields:
         payload.update(fields)
     return payload
+
+
+def _error_extras(error: ReproError) -> Dict[str, Any]:
+    """The fields a guardrail error carries beyond its message."""
+    if isinstance(error, InvariantViolationError):
+        return {
+            "invariant": error.invariant,
+            "violations": list(error.violations),
+            "dump_path": error.dump_path,
+        }
+    if isinstance(error, DeadlockError):
+        return {"kind": error.kind, "dump_path": error.dump_path}
+    return {}
+
+
+def run_guarded(
+    body: Callable[[Any], Any],
+    job: Any,
+    describe: Callable[[Any], Dict[str, Any]],
+) -> Payload:
+    """Run a worker's ``body(job)`` and return its payload; never raises.
+
+    Errors travel back as data, so one bad job cannot poison the pool or
+    lose the rest of a campaign.  A :class:`ReproError` is
+    deterministic — the simulator has no nondeterminism, so retrying is
+    pointless — and keeps its guardrail extras (invariant, violations,
+    dump path...).  Anything else is transient, including a
+    ``KeyboardInterrupt`` delivered to the worker on Ctrl-C, so the
+    parent can finish storing completed results and retry cleanly later
+    instead of unwinding through a half-written pool protocol.
+    """
+    try:
+        return {"ok": True, "result": body(job)}
+    except ReproError as error:
+        fields = describe(job)
+        fields.update(_error_extras(error))
+        return failure_payload(
+            type(error).__name__, str(error), transient=False, fields=fields
+        )
+    except KeyboardInterrupt:
+        return failure_payload(
+            "KeyboardInterrupt",
+            "interrupted mid-run",
+            transient=True,
+            fields=describe(job),
+        )
+    except Exception as error:  # crash isolation: bugs travel back as data
+        return failure_payload(
+            type(error).__name__,
+            str(error) or repr(error),
+            transient=True,
+            fields=describe(job),
+        )
 
 
 def _no_fields(job: Any) -> Dict[str, Any]:

@@ -1,69 +1,38 @@
-"""A parallel, persistent, fault-tolerant experiment runner.
+"""The (benchmark × scheme) sweep: the job kind behind every figure.
 
 The paper's evaluation is a (benchmark × scheme) matrix — Figures 1, 6,
 7, and 8 all re-sweep the same seven configurations over every SPEC
-stand-in.  :class:`ParallelSession` is a drop-in replacement for
-:class:`~repro.harness.runner.ExperimentSession` that makes that matrix
-cheap twice over:
+stand-in.  :class:`ParallelSession` is the one session the figure code
+runs on.  :meth:`ParallelSession.run` is inline and memoized;
+:meth:`ParallelSession.sweep` fans the grid out over the shared
+:class:`~repro.harness.campaign.Campaign` (engine, store, ledger,
+failure manifest).  What is specific to sweeps lives here:
 
-* **Parallel** — :meth:`ParallelSession.sweep` fans the pairs out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker receives
-  a picklable :class:`SweepJob` (labels, window sizes, and the config as
-  plain data), rebuilds the :class:`~repro.pipeline.core.Core` from
-  scratch, and ships the measurement-window
-  :class:`~repro.common.stats.SimStats` back as a dict.  Every pair is
-  simulated in its own interpreter with no shared state, so results are
-  bit-identical between ``jobs=1`` and ``jobs=N``: the simulator is
-  deterministic and stats are never accumulated across processes — the
-  parent reassembles results strictly in request order.
-
-* **Persistent** — with ``cache_dir`` set, every finished run is written
-  to a content-addressed :class:`~repro.harness.store.ResultStore` keyed
-  by a stable fingerprint of (benchmark, scheme, warmup, measure, full
-  :class:`~repro.common.config.SystemConfig`).  Re-running any figure
-  after an unrelated code change is a cache hit; changing any config
-  knob or window size misses by construction.  Entries are sharded,
-  checksummed, and written atomically (unique tmp + rename) so
-  concurrent writers can share a directory; corrupt entries are
-  quarantined on read and recomputed, and persistent disk errors degrade
-  the store to memory instead of killing the sweep.  **Only successful
-  runs are ever written to disk** — a failure cached as data would mask
-  later fixes until the cache directory is cleared, so failures live in
-  the session memo only.  A progress ledger (``ledger.jsonl``) journals
-  every resolution; ``resume=True`` adopts it so an interrupted campaign
-  loses at most the in-flight wave.
-
-Failure semantics (the fault-tolerance layer):
-
-* A worker that hits a :class:`~repro.common.errors.ReproError` returns
-  the error as data.  These are **deterministic** — the simulator has no
-  nondeterminism, so retrying is pointless — and the parent re-raises
-  them (typed, naming the pair) from :meth:`run`, or, with
-  ``skip_errors=True``, records them in :attr:`skipped` and keeps the
-  rest of the sweep.
-* A worker that exceeds ``job_timeout``, dies outright, or raises a
-  non-simulator exception produces a **transient** failure: the job is
-  retried up to ``retries`` times with exponential backoff before it is
-  recorded as failed.  A dead worker breaks the whole pool (CPython
-  offers no per-future blame), so every job in flight at the moment of
-  the crash is marked transient and re-run — the deterministic culprit
-  fails again on retry while innocent bystanders complete, which is what
-  isolates a crash to the job that caused it.
-* Results are stored (memo + disk) *as each job resolves*, so Ctrl-C or
-  a mid-sweep crash loses only in-flight work; everything already
-  finished is in the cache when the sweep is re-run.
-* After any sweep that ran cold jobs, a **failure manifest**
-  (``failure_manifest.json`` in the cache dir) records each failed run's
-  key, error type, attempt count, and crash-dump path if the guardrails
-  wrote one.
+* **The job** — a picklable :class:`SweepJob` (labels, window sizes,
+  the config as plain data).  :func:`execute_job` rebuilds the
+  :class:`~repro.pipeline.core.Core` from scratch in the worker and ships
+  the measurement-window :class:`~repro.common.stats.SimStats` back as a
+  dict, so results are bit-identical between ``jobs=1`` and ``jobs=N``;
+  the parent reassembles them strictly in request order.
+* **The cache** — with ``cache_dir`` set, every finished run is stored
+  under its :func:`~repro.harness.runner.run_key`; the store is always
+  read as a cache, so re-running any figure is a hit and changing any
+  config knob or window size misses by construction.  The session memo
+  holds decoded :class:`RunResult` objects, and the failures of this
+  session: deterministic ones replay, transient ones re-run.
+* **Errors** — a deterministic failure is re-raised (typed, naming the
+  pair) from :meth:`run` and :meth:`sweep`, or, with
+  ``skip_errors=True``, recorded in :attr:`skipped` while the rest of
+  the sweep completes.  A resumed ledger's deterministic failures replay
+  without re-simulating.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import (
     SystemConfig,
@@ -79,10 +48,9 @@ from repro.common.errors import (
     ReproError,
     WorkerCrashError,
 )
-from repro.common.io import atomic_write_json
 from repro.common.stats import RunResult
-from repro.harness.jobs import JobEngine, failure_payload
-from repro.harness.store import ProgressLedger, ResultStore, campaign_id
+from repro.harness.campaign import Campaign, FailureRecord, replay_command
+from repro.harness.jobs import run_guarded
 from repro.harness.runner import (
     BASELINE_SCHEME,
     DEFAULT_MEASURE,
@@ -91,16 +59,6 @@ from repro.harness.runner import (
     run_benchmark,
     run_key,
 )
-
-#: Version of the failure-manifest layout.  (Cache entries are versioned
-#: by the store's own STORE_FORMAT_VERSION; see repro.harness.store.)
-CACHE_FORMAT_VERSION = 1
-
-#: Name of the per-cache-directory record of failed runs.
-FAILURE_MANIFEST_NAME = "failure_manifest.json"
-
-#: Name of the per-cache-directory progress ledger (see ProgressLedger).
-LEDGER_NAME = "ledger.jsonl"
 
 
 def _sweep_entry_slug(key: RunKey) -> str:
@@ -157,70 +115,31 @@ def sweep_job_fields(job: SweepJob) -> Dict[str, Any]:
     }
 
 
-def _failure_payload(
-    job: SweepJob,
-    error_type: str,
-    message: str,
-    transient: bool,
-    **extra: Any,
-) -> Dict[str, Any]:
-    payload = failure_payload(
-        error_type, message, transient, fields=sweep_job_fields(job)
-    )
-    payload.update(extra)
-    return payload
+def _measure(job: SweepJob) -> Dict[str, Any]:
+    return run_benchmark(
+        job.benchmark,
+        job.scheme,
+        config_from_dict(job.config),
+        job.warmup,
+        job.measure,
+    ).to_dict()
 
 
 def execute_job(job: SweepJob) -> Dict[str, Any]:
     """Worker entry point: rebuild the Core, run, return plain data.
 
-    Must stay a module-level function (pickled by name into the pool) and
-    must never raise: errors travel back as data so one bad pair cannot
-    poison the pool or lose the rest of a sweep.  Simulator errors
-    (:class:`ReproError`) are deterministic and marked non-transient;
-    anything else — including a ``KeyboardInterrupt`` delivered to the
-    worker when the user hits Ctrl-C — is transient, so the parent can
-    finish flushing completed results and retry cleanly later instead of
-    unwinding through a half-written pool protocol.
+    Must stay a module-level function (pickled by name into the pool);
+    :func:`~repro.harness.jobs.run_guarded` turns every error into a
+    failure payload.
     """
-    try:
-        result = run_benchmark(
-            job.benchmark,
-            job.scheme,
-            config_from_dict(job.config),
-            job.warmup,
-            job.measure,
-        )
-        return {"ok": True, "result": result.to_dict()}
-    except InvariantViolationError as error:
-        return _failure_payload(
-            job,
-            type(error).__name__,
-            str(error),
-            transient=False,
-            invariant=error.invariant,
-            violations=list(error.violations),
-            dump_path=error.dump_path,
-        )
-    except DeadlockError as error:
-        return _failure_payload(
-            job,
-            type(error).__name__,
-            str(error),
-            transient=False,
-            kind=error.kind,
-            dump_path=error.dump_path,
-        )
-    except ReproError as error:
-        return _failure_payload(job, type(error).__name__, str(error), transient=False)
-    except KeyboardInterrupt:
-        return _failure_payload(
-            job, "KeyboardInterrupt", "interrupted mid-run", transient=True
-        )
-    except Exception as error:  # crash isolation: bugs travel back as data
-        return _failure_payload(
-            job, type(error).__name__, str(error) or repr(error), transient=True
-        )
+    return run_guarded(_measure, job, sweep_job_fields)
+
+
+def _decode_entry(entry: Any) -> Optional[RunResult]:
+    """A stored sweep entry as a result; never trust one without a body."""
+    if not isinstance(entry, dict) or not entry.get("result"):
+        return None
+    return RunResult.from_dict(entry["result"])
 
 
 def _raise_job_error(payload: Dict[str, Any]) -> None:
@@ -268,57 +187,8 @@ class SkippedRun:
     dump_path: Optional[str] = None
 
 
-@dataclass
-class FailureRecord:
-    """One failed run, as recorded in the failure manifest.
-
-    ``spec`` carries the *complete* job description (window sizes, full
-    config, generator seed and knobs for fuzz jobs), and ``replay`` the
-    one command that re-runs it — so any manifest entry is reproducible
-    without reconstructing the sweep that produced it.
-    """
-
-    benchmark: str
-    scheme: str
-    error_type: str
-    message: str
-    attempts: int = 1
-    transient: bool = False
-    dump_path: Optional[str] = None
-    key: List[Any] = field(default_factory=list)
-    spec: Dict[str, Any] = field(default_factory=dict)
-    replay: Optional[str] = None
-
-    @classmethod
-    def from_payload(
-        cls,
-        key: Sequence[Any],
-        payload: Dict[str, Any],
-        replay: Optional[str] = None,
-    ) -> "FailureRecord":
-        return cls(
-            benchmark=payload["benchmark"],
-            scheme=payload["scheme"],
-            error_type=payload["error_type"],
-            message=payload["message"],
-            attempts=payload.get("attempts", 1),
-            transient=payload.get("transient", False),
-            dump_path=payload.get("dump_path"),
-            key=list(key),
-            spec=dict(payload.get("spec", {})),
-            replay=payload.get("replay", replay),
-        )
-
-
-def replay_command(manifest_path: Optional[Path]) -> Optional[str]:
-    """The one-liner that re-runs every failure in a manifest."""
-    if manifest_path is None:
-        return None
-    return f"python -m repro fuzz --replay {manifest_path}"
-
-
 class ParallelSession:
-    """Parallel, disk-backed, fault-tolerant drop-in for ``ExperimentSession``.
+    """The memoizing, parallel, disk-backed sweep session.
 
     Parameters
     ----------
@@ -326,7 +196,8 @@ class ParallelSession:
         Worker processes for :meth:`sweep`.  ``None`` means one per CPU;
         ``1`` runs everything inline (no pool, still disk-cached).
     cache_dir:
-        Directory for the persistent result cache; ``None`` disables it.
+        Directory for the result store, ledger and failure manifest;
+        ``None`` keeps results in the session memo only.
     job_timeout:
         Per-job wall-clock budget in seconds; ``None`` (default) waits
         forever.  A wave of jobs gets ``job_timeout × ceil(n / workers)``
@@ -370,21 +241,26 @@ class ParallelSession:
         self.config = config if config is not None else default_config()
         self.warmup = warmup
         self.measure = measure
-        self.jobs = max(1, jobs if jobs is not None else os.cpu_count() or 1)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.job_timeout = job_timeout
-        self.retries = max(0, retries)
-        self.retry_backoff = max(0.0, retry_backoff)
-        self.mp_context = mp_context
-        self.resume = resume
-        self.chaos = chaos
-        self.store: Optional[ResultStore] = None
-        if self.cache_dir is not None:
-            self.store = ResultStore(
-                self.cache_dir,
-                fs=chaos.fs if chaos is not None else None,
-                namer=_sweep_entry_slug,
-            )
+        self.campaign = Campaign(
+            execute_job,
+            sweep_job_fields,
+            directory=self.cache_dir,
+            store_dir=self.cache_dir,
+            namer=_sweep_entry_slug,
+            encode=self._store_entry,
+            decode=_decode_entry,
+            read_store=True,
+            replay_failures=True,
+            resume=resume,
+            chaos=chaos,
+            jobs=jobs,
+            job_timeout=job_timeout,
+            retries=retries,
+            retry_backoff=retry_backoff,
+            mp_context=mp_context,
+        )
+        self.store = self.campaign.store
         self._memo: Dict[RunKey, RunResult] = {}
         self._failures: Dict[RunKey, Dict[str, Any]] = {}
         self.skipped: List[SkippedRun] = []
@@ -394,84 +270,53 @@ class ParallelSession:
         self.simulated = 0
         self.ledger_hits = 0
 
-    # ------------------------------------------------------------------
-    # Keys and the on-disk cache
-    # ------------------------------------------------------------------
+    def _store_entry(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """A success as stored: the config it ran under, and its result."""
+        return {"config": config_to_dict(self.config), "result": payload["result"]}
+
     def _key(self, benchmark: str, scheme: str) -> RunKey:
         return run_key(benchmark, scheme, self.warmup, self.measure, self.config)
 
-    def _cache_path(self, key: RunKey) -> Optional[Path]:
-        if self.store is None:
-            return None
-        return self.store.path_for(key)
+    def _job(self, benchmark: str, scheme: str) -> SweepJob:
+        return SweepJob.build(benchmark, scheme, self.warmup, self.measure, self.config)
 
-    def _disk_load(self, key: RunKey) -> Optional[RunResult]:
-        """Load one result from the store.  Corrupt entries (torn writes,
-        checksum mismatches...) are quarantined by the store and read as
-        a miss — they are never returned and never raise."""
-        if self.store is None:
-            return None
-        payload = self.store.get(key)
-        if not isinstance(payload, dict):
-            return None
-        if not payload.get("result"):
-            return None  # never trust an entry without a real result body
-        return RunResult.from_dict(payload["result"])
+    def _replays(self, key: RunKey) -> bool:
+        """Is ``key`` a deterministic failure of this session?  Those
+        replay; transient ones (timeout, crash) re-run."""
+        recorded = self._failures.get(key)
+        return recorded is not None and not recorded.get("transient", False)
 
-    def _disk_store(self, key: RunKey, result: RunResult) -> None:
-        if self.store is None:
+    def _resolved(self, key: RunKey, payload: Dict[str, Any]) -> None:
+        """Memoize one resolved (already stored and journaled) run."""
+        self.simulated += 1
+        if not payload["ok"]:
+            self._failures[key] = payload
             return
-        self.store.put(
-            key,
-            {"config": config_to_dict(self.config), "result": result.to_dict()},
-        )
+        self._failures.pop(key, None)  # a retry succeeded; clear the record
+        self._memo[key] = RunResult.from_dict(payload["result"])
 
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def _lookup(self, key: RunKey) -> Optional[RunResult]:
-        """Memo, then disk.  Replays memoized *deterministic* failures;
-        transient ones (timeout, crash) read as a miss so they re-run."""
-        recorded = self._failures.get(key)
-        if recorded is not None and not recorded.get("transient", False):
-            _raise_job_error(recorded)
-        if key in self._memo:
-            self.memo_hits += 1
-            return self._memo[key]
-        from_disk = self._disk_load(key)
-        if from_disk is not None:
-            self.disk_hits += 1
-            self._memo[key] = from_disk
-            return from_disk
-        return None
-
-    def _store(self, key: RunKey, payload: Dict[str, Any]) -> Optional[RunResult]:
-        if not payload["ok"]:
-            # Failures are memoized in the session only — never written
-            # to the disk cache, where they would mask later fixes until
-            # the cache directory is cleared (see module docstring).
-            self._failures[key] = payload
-            return None
-        self._failures.pop(key, None)  # a retry succeeded; clear the record
-        result = RunResult.from_dict(payload["result"])
-        self._memo[key] = result
-        self._disk_store(key, result)
-        return result
-
     def run(self, benchmark: str, scheme: str) -> RunResult:
         """Run (or recall) one pair.  Always inline — no pool spin-up."""
         key = self._key(benchmark, scheme)
-        found = self._lookup(key)
-        if found is not None:
-            return found
-        self.simulated += 1
-        payload = execute_job(
-            SweepJob.build(benchmark, scheme, self.warmup, self.measure, self.config)
-        )
-        result = self._store(key, payload)
-        if result is None:
+        if self._replays(key):
+            _raise_job_error(self._failures[key])
+        if key in self._memo:
+            self.memo_hits += 1
+            return self._memo[key]
+        stored = self.campaign.load(key)
+        if stored is not None:
+            self.disk_hits += 1
+            self._memo[key] = stored
+            return stored
+        payload = execute_job(self._job(benchmark, scheme))
+        self.campaign.resolve(key, payload)
+        self._resolved(key, payload)
+        if not payload["ok"]:
             _raise_job_error(payload)
-        return result
+        return self._memo[key]
 
     def sweep(
         self,
@@ -481,11 +326,10 @@ class ParallelSession:
     ) -> List[RunResult]:
         """Run the full (benchmark × scheme) grid, fanned out over the pool.
 
-        Results come back in the same order as the serial
-        ``ExperimentSession.sweep`` — ``for b in benchmarks for s in
-        schemes`` — regardless of worker scheduling, minus failed pairs
-        when ``skip_errors`` is set (those are appended to
-        :attr:`skipped`).  Each run is cached the moment it finishes, so
+        Results come back in request order — ``for b in benchmarks for s
+        in schemes`` — regardless of worker scheduling, minus failed
+        pairs when ``skip_errors`` is set (those are appended to
+        :attr:`skipped`).  Each run is stored the moment it finishes, so
         interrupting a sweep preserves all completed work; after the cold
         jobs run, the failure manifest in the cache directory is
         rewritten to match this sweep's outcome.
@@ -494,55 +338,34 @@ class ParallelSession:
             (b, s) for b in benchmarks for s in schemes
         ]
         keys = [self._key(b, s) for b, s in pairs]
-        ledger = self._open_ledger(keys)
-
-        # Resolve memo/disk/ledger hits first; only cold pairs reach the
-        # pool.  A pair may appear twice in a grid; dedupe while keeping
-        # order.  A *transient* recorded failure does not count as
-        # resolved — the pair re-runs; only deterministic failures replay
-        # (from the memo, or from a resumed ledger).
-        cold: List[Tuple[RunKey, SweepJob]] = []
-        seen = set()
-        for key, (benchmark, scheme) in zip(keys, pairs):
-            if key in seen:
-                continue
-            recorded = self._failures.get(key)
-            if recorded is not None and not recorded.get("transient", False):
-                continue
-            if key in self._memo:
-                self.memo_hits += 1
-                continue
-            from_disk = self._disk_load(key)
-            if from_disk is not None:
+        with self.campaign.journal(keys):
+            # Memo and replayed failures first, then the store and a
+            # resumed ledger; only cold pairs reach the pool.  A pair
+            # may appear twice in a grid; dedupe while keeping order.
+            unknown: List[Tuple[RunKey, SweepJob]] = []
+            seen = set()
+            for key, (benchmark, scheme) in zip(keys, pairs):
+                if key in seen or self._replays(key):
+                    continue
+                if key in self._memo:
+                    self.memo_hits += 1
+                    continue
+                seen.add(key)
+                unknown.append((key, self._job(benchmark, scheme)))
+            hits, replayed, cold = self.campaign.partition(unknown)
+            for key, _job, result in hits:
                 self.disk_hits += 1
-                self._memo[key] = from_disk
-                continue
-            replayed = self._ledger_failure(ledger, key)
-            if replayed is not None:
+                self._memo[key] = result
+            for key, _job, payload in replayed:
                 self.ledger_hits += 1
-                self._failures[key] = replayed
-                continue
-            seen.add(key)
-            cold.append(
-                (
-                    key,
-                    SweepJob.build(
-                        benchmark, scheme, self.warmup, self.measure, self.config
-                    ),
-                )
-            )
-
-        try:
+                self._failures[key] = payload
             if cold:
                 try:
-                    self._run_jobs(cold, ledger)
+                    self.campaign.execute(cold, self._resolved)
                 finally:
                     # Even an interrupted sweep leaves an accurate manifest
                     # for whatever resolved before the interrupt.
                     self.write_failure_manifest()
-        finally:
-            if ledger is not None:
-                ledger.close()
 
         results: List[RunResult] = []
         for key, (benchmark, scheme) in zip(keys, pairs):
@@ -564,92 +387,12 @@ class ParallelSession:
         return results
 
     # ------------------------------------------------------------------
-    # The progress ledger (checkpoint/resume)
-    # ------------------------------------------------------------------
-    @property
-    def ledger_path(self) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / LEDGER_NAME
-
-    def _open_ledger(self, keys: Sequence[RunKey]) -> Optional[ProgressLedger]:
-        """The campaign's ledger — adopting the previous run's when
-        resuming the same grid, starting fresh otherwise.  A ledger that
-        cannot be opened (read-only cache dir...) is not worth failing a
-        sweep over; the sweep just runs checkpoint-less."""
-        path = self.ledger_path
-        if path is None:
-            return None
-        try:
-            return ProgressLedger(path, campaign_id(keys), resume=self.resume)
-        except OSError:
-            return None
-
-    @staticmethod
-    def _ledger_failure(
-        ledger: Optional[ProgressLedger], key: RunKey
-    ) -> Optional[Dict[str, Any]]:
-        """A resumed ledger's *deterministic* failure for ``key``, if any.
-
-        Successes need no replay (their results load from the store);
-        transient failures re-run, same as within one session.
-        """
-        if ledger is None or not ledger.resumed:
-            return None
-        entry = ledger.get(key)
-        if entry is None or entry.get("ok", False):
-            return None
-        payload = entry.get("payload")
-        if not isinstance(payload, dict) or payload.get("transient", False):
-            return None
-        return payload
-
-    # ------------------------------------------------------------------
-    # The fault-tolerant job engine
-    # ------------------------------------------------------------------
-    def _run_jobs(
-        self,
-        cold: Sequence[Tuple[RunKey, SweepJob]],
-        ledger: Optional[ProgressLedger] = None,
-    ) -> None:
-        """Run cold jobs through the generic wave/retry engine.
-
-        The engine (:class:`~repro.harness.jobs.JobEngine`) owns the
-        failure semantics — bounded retry of transients, per-wave
-        timeouts with worker kill, crash isolation on a broken pool —
-        and stores + journals each job the moment it resolves, so an
-        interrupt can only lose jobs still in flight.
-        """
-        engine = JobEngine(
-            execute_job,
-            jobs=self.jobs,
-            job_timeout=self.job_timeout,
-            retries=self.retries,
-            retry_backoff=self.retry_backoff,
-            mp_context=self.mp_context,
-            describe=sweep_job_fields,
-            chaos=self.chaos,
-        )
-
-        def resolved(key: RunKey, payload: Dict[str, Any]) -> None:
-            self.simulated += 1
-            self._store(key, payload)
-            if ledger is not None:
-                # Success results live in the store; the ledger entry is
-                # the done-marker.  Failures carry their payload so a
-                # resumed run can replay deterministic ones verbatim.
-                ledger.record(
-                    key, payload["ok"], None if payload["ok"] else payload
-                )
-
-        engine.run(cold, resolved)
-
-    # ------------------------------------------------------------------
-    # Failure introspection
+    # Failures
     # ------------------------------------------------------------------
     def failures(self) -> List[FailureRecord]:
         """Every currently-recorded failed run, as structured records."""
-        replay = replay_command(self.failure_manifest_path)
+        path = self.failure_manifest_path
+        replay = replay_command(path) if path is not None else None
         return [
             FailureRecord.from_payload(key, payload, replay=replay)
             for key, payload in sorted(self._failures.items())
@@ -657,28 +400,14 @@ class ParallelSession:
 
     @property
     def failure_manifest_path(self) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / FAILURE_MANIFEST_NAME
+        return self.campaign.manifest_path
 
     def write_failure_manifest(self) -> Optional[Path]:
-        """Write the failure manifest; returns its path (None if no cache).
-
-        Always rewritten after a sweep ran cold jobs — an empty
-        ``failures`` list is the machine-readable all-clear, replacing
-        any stale manifest from an earlier broken run.
-        """
-        path = self.failure_manifest_path
-        if path is None:
-            return None
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "failures": [asdict(record) for record in self.failures()],
-        }
-        return atomic_write_json(path, payload, indent=2)
+        """Write the failure manifest; returns its path (None if no cache)."""
+        return self.campaign.write_manifest(self.failures())
 
     # ------------------------------------------------------------------
-    # ExperimentSession-compatible derived metrics / introspection
+    # Derived metrics and introspection
     # ------------------------------------------------------------------
     def normalized_ipc(self, benchmark: str, scheme: str) -> float:
         """IPC of ``scheme`` normalized to the unsafe baseline."""
@@ -705,7 +434,11 @@ class ParallelSession:
         }
 
     def store_counters(self) -> Dict[str, Any]:
-        """The store's integrity/health counters ({} without a cache)."""
+        """The store's integrity/health counters plus failed ledger
+        writes ({} without a cache)."""
         if self.store is None:
             return {}
-        return self.store.counters()
+        return {
+            **self.store.counters(),
+            "ledger_errors": self.campaign.ledger_errors,
+        }

@@ -945,11 +945,6 @@ class Core:
             return False
         return self.scheme.value_block_seq(producer) != READY
 
-    def _operand_value(self, producer: Optional[MicroOp], snapshot: int) -> int:
-        if producer is None:
-            return snapshot
-        return producer.result or 0
-
     def _operand_taint(self, uop: MicroOp) -> int:
         taint = self._address_taint(uop)
         producer = uop.src2_uop
@@ -1004,7 +999,7 @@ class Core:
             uop.issue_cycle = now
             if tracer is not None:
                 tracer.on_issue(uop, now)
-            # --- execute, inlined (see _execute for the reference copy) ---
+            # --- execute ---
             producer = uop.src1_uop
             value1 = uop.src1_value if producer is None else (producer.result or 0)
             if kind == KIND_ALU:
@@ -1071,49 +1066,6 @@ class Core:
             width -= 1
         self.iq_count -= issued
         self._event_counter = counter
-
-    def _execute(self, uop: MicroOp, now: int) -> None:
-        """Functionally execute and schedule the completion event.
-
-        The reference copy of the execute stage — :meth:`_issue` inlines
-        this logic on its hot path.  Kept callable for single-uop tests
-        and as the readable statement of the semantics; the two must stay
-        in sync.
-        """
-        dec = uop.dec
-        if dec is None:  # uop built outside _dispatch (unit tests)
-            dec = self._dec_entries[uop.pc]
-            uop.dec = dec
-        inst = uop.inst
-        kind = dec[1]
-        producer = uop.src1_uop
-        value1 = uop.src1_value if producer is None else (producer.result or 0)
-        if kind == KIND_LOAD:
-            uop.address = (value1 + inst.imm) & ((1 << 64) - 1)
-            if self._uses_taint:
-                uop.taint = self._address_taint(uop)
-            self._schedule(now + 1, _EV_AGU_LOAD, uop)
-            return
-        if kind == KIND_STORE:
-            uop.address = (value1 + inst.imm) & ((1 << 64) - 1)
-            self._schedule(now + 1, _EV_AGU_STORE, uop)
-            return
-        producer = uop.src2_uop
-        value2 = uop.src2_value if producer is None else (producer.result or 0)
-        if kind == KIND_CBRANCH:
-            uop.actual_taken = dec[9](value1, value2)
-            resolve_at = max(
-                now + self._branch_resolve_latency,
-                uop.dispatch_cycle + 1 + self._branch_resolution_delay,
-            )
-            self._schedule(resolve_at, _EV_BRANCH, uop)
-            return
-        # ALU (LI/MOV included); result computed now, visible after latency.
-        operand_b = dec[6] if dec[10] else value2
-        uop.result = dec[8](value1, operand_b)
-        if self._uses_taint:
-            uop.taint = self._operand_taint(uop)
-        self._schedule(now + dec[7], _EV_ALU, uop)
 
     # ==================================================================
     # Phase 5: memory ports
@@ -1238,26 +1190,6 @@ class Core:
         load.result = load.vp_real_value
         self._squash_from(load.seq, load.pc + 1, load.bp_history)
 
-    def _try_forward(
-        self, load: MicroOp
-    ) -> Tuple[bool, bool, Optional[MicroOp]]:
-        """Store-to-load forwarding lookup.
-
-        Returns ``(forwarded, blocked, store)``: *forwarded* when a
-        matching older store with ready data exists, *blocked* when the
-        match exists but its data is not ready yet.
-        """
-        store = self._youngest_matching_store(load)
-        if store is None:
-            return False, False, None
-        if store.store_data_ready:
-            return True, False, store
-        return False, True, store
-
-    def _bind_memory_value(self, load: MicroOp) -> None:
-        load.result = self.arch.read_mem(load.address)
-        load.forward_source_seq = NO_FORWARD
-
     def _finish_load(self, load: MicroOp, completion: int, level: int) -> None:
         load.access_level = level
         if self.scheme.uses_taint:
@@ -1274,10 +1206,6 @@ class Core:
                 self.stats.prefetches_issued += 1
                 if not result.l1_hit:
                     self.stats.prefetch_fills += 1
-
-    def _maybe_complete_store(self, store: MicroOp) -> None:
-        if store.address_ready and store.store_data_ready:
-            self._complete(store)
 
     # ==================================================================
     # Phase 6: dispatch / fetch
@@ -1331,7 +1259,7 @@ class Core:
             if tracer is not None:
                 tracer.on_dispatch(uop, now)
             uop.bp_history = bpred.history
-            # --- rename sources (reference copy: _rename_sources) ---
+            # --- rename sources ---
             ren1 = dec[4]
             if ren1 is not None:
                 producer = rename.get(ren1)
@@ -1362,7 +1290,7 @@ class Core:
                     if uop.predicted_taken:
                         next_pc = dec[6]
                         taken_transfer = True
-                # --- enter IQ waiting on both sources (ref: _enter_iq) ---
+                # --- enter IQ waiting on both sources ---
                 uop.in_iq = True
                 iq_count += 1
                 waits = 0
@@ -1457,28 +1385,6 @@ class Core:
             self.stats.fetched_instructions += fetched
         self.fetch_pc = pc
 
-    def _enter_iq(self, uop: MicroOp, wait_rs2: bool) -> None:
-        """Register operand waits and enter the (virtual) issue queue."""
-        uop.in_iq = True
-        self.iq_count += 1
-        waits = 0
-        producer = uop.src1_uop
-        if producer is not None and self._source_blocked(producer):
-            if producer.waiters is None:
-                producer.waiters = []
-            producer.waiters.append((uop, _K_ISSUE))
-            waits += 1
-        if wait_rs2:
-            producer = uop.src2_uop
-            if producer is not None and self._source_blocked(producer):
-                if producer.waiters is None:
-                    producer.waiters = []
-                producer.waiters.append((uop, _K_ISSUE))
-                waits += 1
-        uop.wait_count = waits
-        if waits == 0:
-            self._push_ready(uop)
-
     def _bind_store_data(self, store: MicroOp) -> None:
         producer = store.src2_uop
         if producer is None:
@@ -1491,28 +1397,6 @@ class Core:
             if producer.waiters is None:
                 producer.waiters = []
             producer.waiters.append((store, _K_STORE_DATA))
-
-    def _rename_sources(self, uop: MicroOp) -> None:
-        inst = uop.inst
-        rename = self.rename
-        if inst.rs1 is not None and inst.rs1 != 0:
-            producer = rename.get(inst.rs1)
-            if producer is not None:
-                uop.src1_uop = producer
-            else:
-                uop.src1_value = self.arch.read_reg(inst.rs1)
-        if inst.rs2 is not None and inst.rs2 != 0:
-            producer = rename.get(inst.rs2)
-            if producer is not None:
-                uop.src2_uop = producer
-            else:
-                uop.src2_value = self.arch.read_reg(inst.rs2)
-
-    def _rename_destination(self, uop: MicroOp) -> None:
-        inst = uop.inst
-        uop.prev_producer = self.rename.get(inst.rd)
-        uop.had_prev_producer = uop.prev_producer is not None
-        self.rename[inst.rd] = uop
 
     # ==================================================================
     # Squash

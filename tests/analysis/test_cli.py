@@ -75,6 +75,7 @@ class TestSelectionAndFormats:
             "RPL502",
             "RPL601",
             "RPL602",
+            "RPL603",
         ):
             assert rule_id in out
 

@@ -556,6 +556,54 @@ class TestRPL602UnregisteredStat:
         assert "committed_instructionz" in report.findings[0].message
 
 
+class TestRPL603UnreferencedPrivate:
+    def test_fires_on_dead_function_and_method(self, lint_fixture):
+        report = lint_fixture(
+            "repro/pipeline/stage.py",
+            """
+            def _orphan():
+                return 1
+
+            class Stage:
+                def _left_behind(self, uop):
+                    return uop
+
+                def step(self):
+                    return 0
+            """,
+            select=["RPL603"],
+        )
+        assert rule_ids(report) == ["RPL603", "RPL603"]
+        assert "_orphan" in report.findings[0].message
+        assert "_left_behind" in report.findings[1].message
+
+    def test_clean_when_named_by_call_attribute_or_string(self, lint_fixture):
+        report = lint_fixture(
+            "repro/pipeline/stage.py",
+            """
+            def _helper():
+                return 1
+
+            def _hook():
+                return 2
+
+            class Stage:
+                def __init__(self):
+                    self.run = self._step
+
+                def _step(self):
+                    return _helper() + getattr(self, "_probe")()
+
+                def _probe(self):
+                    return 0
+
+            HOOKS = [_hook]
+            """,
+            select=["RPL603"],
+        )
+        assert report.ok
+
+
 class TestRPL801NonAtomicJsonWrite:
     def test_fires_on_open_plus_json_dump(self, lint_fixture):
         report = lint_fixture(

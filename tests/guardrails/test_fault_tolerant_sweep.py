@@ -22,8 +22,8 @@ from repro.common.errors import (
 )
 from repro.common.stats import RunResult, SimStats
 from repro.harness import parallel
+from repro.harness.campaign import FAILURE_MANIFEST_NAME
 from repro.harness.parallel import (
-    FAILURE_MANIFEST_NAME,
     ParallelSession,
     SweepJob,
     execute_job,
@@ -269,7 +269,7 @@ class TestFailuresNeverDiskCached:
         assert len(first.skipped) == 1
 
         failed_key = first._key("hmmer", "unsafe")
-        assert not first._cache_path(failed_key).exists()
+        assert not first.store.path_for(failed_key).exists()
         top_level = sorted(p.name for p in tmp_path.iterdir())
         assert FAILURE_MANIFEST_NAME in top_level
         assert len(list(tmp_path.rglob("v2-*.json"))) == 2
@@ -300,7 +300,7 @@ class TestFailuresNeverDiskCached:
         session = make_session(tmp_path, jobs=1)
         with pytest.raises(EmptyMeasurementError):
             session.run("hmmer", "unsafe")
-        assert not session._cache_path(session._key("hmmer", "unsafe")).exists()
+        assert not session.store.path_for(session._key("hmmer", "unsafe")).exists()
 
 
 class TestDumpPathPropagation:

@@ -1,8 +1,8 @@
 """Tests for the parallel, persistent experiment runner.
 
-The headline contracts: a pooled sweep is bit-identical to the serial
-``ExperimentSession`` for every pair, and a second session pointed at a
-warm on-disk cache re-simulates nothing.
+The headline contracts: a pooled sweep is bit-identical to direct
+``run_benchmark`` calls for every pair, and a second session pointed at
+a warm on-disk cache re-simulates nothing.
 """
 
 import pickle
@@ -13,7 +13,7 @@ from repro.common.config import small_config
 from repro.common.errors import EmptyMeasurementError
 from repro.common.stats import RunResult, SimStats
 from repro.harness.parallel import ParallelSession, SweepJob, execute_job
-from repro.harness.runner import ExperimentSession, run_key
+from repro.harness.runner import run_benchmark, run_key
 
 BENCHMARKS = ("hmmer", "mcf", "libquantum")
 SCHEMES = ("unsafe", "dom")
@@ -22,13 +22,17 @@ WARMUP, MEASURE = 300, 900
 
 @pytest.fixture(scope="module")
 def serial_results():
-    session = ExperimentSession(warmup=WARMUP, measure=MEASURE)
-    return session.sweep(BENCHMARKS, SCHEMES)
+    """The reference: one direct simulation per pair, in grid order."""
+    return [
+        run_benchmark(b, s, warmup=WARMUP, measure=MEASURE)
+        for b in BENCHMARKS
+        for s in SCHEMES
+    ]
 
 
 class TestParity:
     def test_parallel_matches_serial_bit_identical(self, serial_results, tmp_path):
-        """Acceptance: >= 6 pairs with --jobs 4 equal the serial session."""
+        """Acceptance: >= 6 pairs with --jobs 4 equal direct runs."""
         session = ParallelSession(
             warmup=WARMUP, measure=MEASURE, jobs=4, cache_dir=tmp_path
         )
@@ -216,10 +220,13 @@ class TestErrorHandling:
 
 class TestKeySharing:
     def test_memo_and_disk_use_the_same_key(self, tmp_path):
-        """ExperimentSession's memo key and ParallelSession's disk key
-        are both run_key(): same fields, same fingerprint."""
-        serial = ExperimentSession(warmup=WARMUP, measure=MEASURE)
-        parallel = ParallelSession(warmup=WARMUP, measure=MEASURE, jobs=1)
-        expected = run_key("hmmer", "dom", WARMUP, MEASURE, serial.config)
-        assert serial._key("hmmer", "dom") == expected
-        assert parallel._key("hmmer", "dom") == expected
+        """The session memo and the result store both key a run by
+        run_key(): same fields, same fingerprint."""
+        session = ParallelSession(
+            warmup=WARMUP, measure=MEASURE, jobs=1, cache_dir=tmp_path
+        )
+        expected = run_key("hmmer", "dom", WARMUP, MEASURE, session.config)
+        assert session._key("hmmer", "dom") == expected
+        session.run("hmmer", "dom")
+        assert list(session._memo) == [expected]
+        assert session.store.path_for(expected).exists()
